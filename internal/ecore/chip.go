@@ -24,7 +24,8 @@ type Chip struct {
 }
 
 // NewChip builds a rows x cols device (the Epiphany-IV is 8x8) attached
-// to eng, with a fresh 32 MB shared DRAM window.
+// to eng, with a fresh 32 MB shared DRAM window whose 64 KB pages are
+// allocated on first write.
 func NewChip(eng *sim.Engine, rows, cols int) *Chip {
 	return NewChipMap(eng, mem.NewMap(rows, cols))
 }

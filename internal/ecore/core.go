@@ -197,7 +197,7 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 		data := append([]byte(nil), c.sram.Bytes(srcOff, n)...)
 		off := tgt.Off
 		c.chip.fab.ELink.SubmitFrom(c.sh, p.Now(), c.idx, n, func() {
-			copy(c.chip.fab.DRAM.Bytes(off, n), data)
+			c.chip.fab.DRAM.Write(off, data)
 		})
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
@@ -216,7 +216,7 @@ func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	p := c.Proc()
 	if c.sh == c.chip.eng.Sys() {
 		c.chip.fab.ELink.Write(p, c.idx, n)
-		copy(c.chip.fab.DRAM.Bytes(dramOff, n), c.sram.Bytes(srcOff, n))
+		c.chip.fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
 		return
 	}
 	// Sharded board: the copy must run on the sys shard (DRAM lives
@@ -225,7 +225,7 @@ func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	reply := sim.NewCondIdxOn(c.sh, "dram-block:core", c.idx)
 	sys := c.chip.eng.Sys()
 	c.chip.fab.ELink.SubmitFrom(c.sh, p.Now(), c.idx, n, func() {
-		copy(c.chip.fab.DRAM.Bytes(dramOff, n), c.sram.Bytes(srcOff, n))
+		c.chip.fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
 		sys.Send(c.sh, sys.Now(), func() { reply.Broadcast() })
 	})
 	p.WaitCond(reply)

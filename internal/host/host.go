@@ -139,13 +139,15 @@ func (hp *Proc) ReadCoreF32(core int, off mem.Addr, n int) []float32 {
 // WriteDRAM stages data into the shared window at off.
 func (hp *Proc) WriteDRAM(off mem.Addr, data []byte) {
 	hp.p.Wait(sim.Time(len(data)) * DRAMBytePeriod)
-	copy(hp.h.chip.DRAM().Bytes(off, len(data)), data)
+	hp.h.chip.DRAM().Write(off, data)
 }
 
 // ReadDRAM reads n bytes from the shared window.
 func (hp *Proc) ReadDRAM(off mem.Addr, n int) []byte {
 	hp.p.Wait(sim.Time(n) * DRAMBytePeriod)
-	return append([]byte(nil), hp.h.chip.DRAM().Bytes(off, n)...)
+	out := make([]byte, n)
+	hp.h.chip.DRAM().Read(off, out)
+	return out
 }
 
 // WriteDRAMF32 stages floats into shared memory.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -324,6 +325,44 @@ func TestSRAMResetZeroes(t *testing.T) {
 	}
 }
 
+// TestSRAMResetAfterEveryWritePath pins the invariant Reset's early
+// return rests on: every way of writing a scratchpad charges its access
+// counter, so the next Reset really clears it.
+func TestSRAMResetAfterEveryWritePath(t *testing.T) {
+	const off = 0x7F0
+	for _, tc := range []struct {
+		name  string
+		write func(s *SRAM)
+	}{
+		{"Store8", func(s *SRAM) { s.Store8(off, 0xAB) }},
+		{"Store32", func(s *SRAM) { s.Store32(off, 0xDEADBEEF) }},
+		{"Store64", func(s *SRAM) { s.Store64(off, ^uint64(0)) }},
+		{"StoreF32", func(s *SRAM) { s.StoreF32(off, -1.5) }},
+		{"Bytes", func(s *SRAM) { s.Bytes(off, 8)[3] = 0x5A }},
+		{"Copy", func(s *SRAM) {
+			src := NewSRAM()
+			src.Store64(0, 0x0102030405060708)
+			Copy(s, off, src, 0, 8)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSRAM()
+			s.Reset() // an untouched scratchpad: the early-return path
+			tc.write(s)
+			if s.AccessedBytes() == 0 {
+				t.Fatal("write path did not charge the access counter")
+			}
+			s.Reset()
+			if s.data != ([SRAMSize]byte{}) {
+				t.Fatal("Reset after the write left bytes behind")
+			}
+			if s.AccessedBytes() != 0 {
+				t.Fatalf("Reset left AccessedBytes = %d", s.AccessedBytes())
+			}
+		})
+	}
+}
+
 func TestNewSRAMsAreIndependent(t *testing.T) {
 	srams := NewSRAMs(4)
 	if len(srams) != 4 {
@@ -341,36 +380,239 @@ func TestNewSRAMsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestDRAMResetUsesWatermark(t *testing.T) {
+// allocatedPages counts the DRAM pages backed by memory.
+func allocatedPages(d *DRAM) int {
+	n := 0
+	for _, pg := range d.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestDRAMUntouchedPageReadsZeroWithoutAllocating(t *testing.T) {
+	d := NewDRAM()
+	if d.Load32(0x1234) != 0 || d.LoadF32(DRAMSize-4) != 0 {
+		t.Fatal("untouched DRAM reads non-zero")
+	}
+	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	d.Read(3*dramPageSize-4, buf)
+	for i, b := range buf {
+		if b != 0 {
+			t.Fatalf("Read of untouched pages left byte %d = %d, want 0", i, b)
+		}
+	}
+	if n := allocatedPages(d); n != 0 {
+		t.Fatalf("reads allocated %d pages, want 0", n)
+	}
+	if got := d.AccessedBytes(); got != 4+4+8 {
+		t.Fatalf("AccessedBytes = %d, want 16 (reads are charged)", got)
+	}
+	d.Store32(5*dramPageSize+8, 1)
+	if n := allocatedPages(d); n != 1 {
+		t.Fatalf("one store allocated %d pages, want 1", n)
+	}
+}
+
+func TestDRAMWriteStraddlesPageBoundary(t *testing.T) {
+	d := NewDRAM()
+	src := make([]byte, 3*dramPageSize/2)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	off := Addr(dramPageSize - 100)
+	d.Write(off, src)
+	if n := allocatedPages(d); n != 3 {
+		t.Fatalf("a %d-byte write from %#x allocated %d pages, want 3", len(src), off, n)
+	}
+	got := make([]byte, len(src)+8)
+	d.Read(off-4, got)
+	if !bytes.Equal(got[4:len(src)+4], src) {
+		t.Fatal("straddling write did not read back intact")
+	}
+	for _, b := range append(got[:4], got[len(src)+4:]...) {
+		if b != 0 {
+			t.Fatal("bytes around the straddling write are not zero")
+		}
+	}
+}
+
+func TestDRAMUnalignedWordAcrossPageBoundary(t *testing.T) {
+	d := NewDRAM()
+	for _, off := range []Addr{dramPageSize - 3, dramPageSize - 2, dramPageSize - 1, 7*dramPageSize - 1} {
+		d.Store32(off, 0xA1B2C3D4)
+		if got := d.Load32(off); got != 0xA1B2C3D4 {
+			t.Fatalf("Load32(%#x) = %#x after Store32, want 0xa1b2c3d4", off, got)
+		}
+		var b [4]byte
+		d.Read(off, b[:])
+		if b != [4]byte{0xD4, 0xC3, 0xB2, 0xA1} {
+			t.Fatalf("bytes at %#x = % x, want little-endian d4 c3 b2 a1", off, b)
+		}
+	}
+	// A word read across into a never-written page sees its zeros.
+	d.Store32(9*dramPageSize-4, 0xFFFFFFFF)
+	if got := d.Load32(9*dramPageSize - 2); got != 0xFFFF {
+		t.Fatalf("Load32 across into an untouched page = %#x, want 0xffff", got)
+	}
+}
+
+func TestDRAMResetClearsExactlyDirtyPages(t *testing.T) {
 	d := NewDRAM()
 	d.Store32(0, 1)
 	d.StoreF32(1<<20, 2.5)
+	d.Write(dramPageSize-2, []byte{9, 9, 9, 9})
 	d.Reset()
-	if d.Load32(0) != 0 || d.LoadF32(1<<20) != 0 {
-		t.Fatal("Reset left dirty bytes")
+	if d.AccessedBytes() != 0 {
+		t.Fatalf("Reset left AccessedBytes = %d", d.AccessedBytes())
 	}
-	// Repeated cycles still clear.
+	for p, pg := range d.pages {
+		if d.dirty[p] {
+			t.Fatalf("page %d still dirty after Reset", p)
+		}
+		if pg != nil && *pg != ([dramPageSize]byte{}) {
+			t.Fatalf("page %d not zero after Reset", p)
+		}
+	}
+	// Reset keeps the pages for reuse and the next cycle clears only
+	// what it dirtied.
+	if n := allocatedPages(d); n != 3 {
+		t.Fatalf("%d pages kept after Reset, want 3", n)
+	}
 	d.Store32(64, 7)
+	for p := range d.dirty {
+		if d.dirty[p] != (p == 0) {
+			t.Fatalf("page %d dirty = %v after one store to page 0", p, d.dirty[p])
+		}
+	}
 	d.Reset()
 	if d.Load32(64) != 0 {
 		t.Fatal("second Reset left dirty bytes")
 	}
-	// Reads advance the watermark too (Bytes aliases are writable), so
-	// a write through an aliased slice is still cleared.
-	b := d.Bytes(4096, 8)
-	b[0] = 0xFF
-	d.Reset()
-	if d.Load32(4096) != 0 {
-		t.Fatal("write through aliased Bytes slice survived Reset")
+}
+
+func TestDRAMOutOfRangePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		access func(d *DRAM)
+		want   string
+	}{
+		{"Load32", func(d *DRAM) { d.Load32(DRAMSize - 1) }, "mem: DRAM access [0x1ffffff,0x2000003) beyond 32 MB window"},
+		{"Store32", func(d *DRAM) { d.Store32(DRAMSize, 0) }, "mem: DRAM access [0x2000000,0x2000004) beyond 32 MB window"},
+		{"Read", func(d *DRAM) { d.Read(DRAMSize-8, make([]byte, 16)) }, "mem: DRAM access [0x1fffff8,0x2000008) beyond 32 MB window"},
+		{"Write", func(d *DRAM) { d.Write(DRAMSize+64, []byte{1}) }, "mem: DRAM access [0x2000040,0x2000041) beyond 32 MB window"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDRAM()
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic = %v, want %q", got, tc.want)
+				}
+				if n := allocatedPages(d); n != 0 {
+					t.Fatalf("a rejected access allocated %d pages", n)
+				}
+			}()
+			tc.access(d)
+		})
 	}
-	// The watermark never retreats: a write through a stale alias
-	// after a Reset (a retained slice from an earlier run) is still
-	// inside the prefix the next Reset clears.
-	b[4] = 0xAA
-	d.Reset()
-	if d.Load32(4100) != 0 {
-		t.Fatal("post-Reset write through stale alias survived the next Reset")
-	}
+}
+
+// FuzzDRAMPaged runs a random sequence of writes, reads and Resets
+// against a sparse map reference model of the 32 MB window. Each op is
+// 8 bytes of input: a kind byte, a length byte, a 24-bit offset that
+// is stretched over the window, a byte that may snap the offset to
+// within 4 bytes of a page boundary (so straddling accesses are
+// common) and a data seed.
+func FuzzDRAMPaged(f *testing.F) {
+	f.Add([]byte{0, 8, 0xff, 0xff, 0, 0, 0, 0, 1, 8, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 1, 0, 3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 4, 0, 1, 0, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 8*64 {
+			ops = ops[:8*64] // 64 ops: long enough, and bounds the pages touched
+		}
+		d := NewDRAM()
+		ref := map[int]byte{}
+		var accessed uint64
+		for len(ops) >= 8 {
+			kind, n := ops[0]%5, int(ops[1])
+			off := (int(ops[2]) | int(ops[3])<<8 | int(ops[4])<<16) << 1
+			if ops[5]&8 != 0 {
+				off = off&^dramPageMask + int(ops[5]%8) - 4
+			}
+			off = min(max(off, 0), DRAMSize-max(n, 4))
+			seed := ops[6]
+			ops = ops[8:]
+			switch kind {
+			case 0: // Write
+				src := make([]byte, n)
+				for i := range src {
+					src[i] = seed + byte(i)
+					ref[off+i] = src[i]
+				}
+				d.Write(Addr(off), src)
+				accessed += uint64(n)
+			case 1: // Read
+				got := make([]byte, n)
+				d.Read(Addr(off), got)
+				for i, b := range got {
+					if b != ref[off+i] {
+						t.Fatalf("Read byte %#x = %d, want %d", off+i, b, ref[off+i])
+					}
+				}
+				accessed += uint64(n)
+			case 2: // Store32
+				v := uint32(seed) * 0x01010101
+				d.Store32(Addr(off), v)
+				for i := 0; i < 4; i++ {
+					ref[off+i] = byte(v >> (8 * i))
+				}
+				accessed += 4
+			case 3: // Load32
+				want := uint32(ref[off]) | uint32(ref[off+1])<<8 | uint32(ref[off+2])<<16 | uint32(ref[off+3])<<24
+				if got := d.Load32(Addr(off)); got != want {
+					t.Fatalf("Load32(%#x) = %#x, want %#x", off, got, want)
+				}
+				accessed += 4
+			case 4: // Reset
+				d.Reset()
+				clear(ref)
+				accessed = 0
+			}
+			if d.AccessedBytes() != accessed {
+				t.Fatalf("AccessedBytes = %d, want %d", d.AccessedBytes(), accessed)
+			}
+		}
+		// The window holds exactly the model's bytes: each one matches,
+		// and each page has no non-zero byte the model lacks.
+		nonzero := map[int]int{}
+		for a, want := range ref {
+			var got byte
+			if pg := d.pages[a>>dramPageShift]; pg != nil {
+				got = pg[a&dramPageMask]
+			}
+			if got != want {
+				t.Fatalf("byte %#x = %d, want %d", a, got, want)
+			}
+			if want != 0 {
+				nonzero[a>>dramPageShift]++
+			}
+		}
+		for p, pg := range d.pages {
+			if pg == nil {
+				continue
+			}
+			n := 0
+			for _, b := range pg {
+				if b != 0 {
+					n++
+				}
+			}
+			if n != nonzero[p] {
+				t.Fatalf("page %d holds %d non-zero bytes, want %d", p, n, nonzero[p])
+			}
+		}
+	})
 }
 
 func TestLayoutReset(t *testing.T) {

@@ -39,8 +39,15 @@ func NewSRAMs(n int) []*SRAM {
 	return out
 }
 
-// Reset zeroes the scratchpad and its access statistics.
+// Reset zeroes the scratchpad and its access statistics. Every write
+// path (the stores, Bytes windows, Copy) charges accessed, so a
+// scratchpad with nothing accessed since the last Reset is still all
+// zeros and skips the 32 KB clear - the common case for the cores of a
+// large board a small workgroup never touched.
 func (s *SRAM) Reset() {
+	if s.accessed == 0 {
+		return
+	}
 	clear(s.data[:])
 	s.accessed = 0
 }
@@ -110,36 +117,42 @@ func Copy(dst *SRAM, dstOff Addr, src *SRAM, srcOff Addr, n int) {
 	copy(dst.Bytes(dstOff, n), src.Bytes(srcOff, n))
 }
 
-// DRAM is the shared off-chip memory window.
+// DRAM is the shared off-chip memory window: 32 MB of address space
+// backed by 64 KB pages allocated on first write, so a board pays only
+// for the part of the window its jobs actually store to. A read of a
+// page never written returns zeros and allocates nothing. Accessors
+// copy in and out (Read/Write) rather than hand out aliases, so no
+// caller can hold a live slice into the window across a Reset.
 type DRAM struct {
-	data []byte
-	// hi is the dirty high-water mark: one past the highest byte any
-	// accessor has ever exposed, so Reset zeroes only that prefix
-	// instead of the whole 32 MB window. It never retreats - even
-	// across Resets - so a write through a Bytes alias retained from an
-	// earlier run still lands inside the cleared prefix.
-	hi int
+	pages [dramPages]*[dramPageSize]byte
+	// dirty marks the pages written since construction or the last
+	// Reset: the only ones Reset has to clear. A clean allocated page
+	// is all zeros and is kept for the next job to reuse.
+	dirty [dramPages]bool
 	// accessed counts bytes moved through the access interface, as
 	// SRAM.accessed does; it feeds the energy model's DRAM term and is
 	// cleared by Reset.
 	accessed uint64
 }
 
-// NewDRAM allocates the 32 MB shared window.
-func NewDRAM() *DRAM { return &DRAM{data: make([]byte, DRAMSize)} }
+const (
+	dramPageShift = 16
+	dramPageSize  = 1 << dramPageShift
+	dramPageMask  = dramPageSize - 1
+	dramPages     = DRAMSize / dramPageSize
+)
 
-// check bounds-checks an access with a formatted panic, advances the
-// dirty watermark and charges the access counter. Unlike the SRAM
-// accessors, the DRAM path keeps a bespoke pre-check: it needs the
-// watermark bookkeeping anyway and sits behind the eLink/DMA models,
-// never on a per-element kernel hot path.
+// NewDRAM returns the 32 MB shared window with no pages allocated.
+func NewDRAM() *DRAM { return &DRAM{} }
+
+// check bounds-checks an access with a formatted panic and charges the
+// access counter. Unlike the SRAM accessors, the DRAM path keeps a
+// bespoke pre-check: it sits behind the eLink/DMA models, never on a
+// per-element kernel hot path.
 func (d *DRAM) check(off Addr, n int) {
-	if int(off)+n > len(d.data) {
+	if int(off)+n > DRAMSize {
 		panic(fmt.Sprintf("mem: DRAM access [%#x,%#x) beyond %d MB window",
-			off, int(off)+n, len(d.data)>>20))
-	}
-	if int(off)+n > d.hi {
-		d.hi = int(off) + n
+			off, int(off)+n, DRAMSize>>20))
 	}
 	d.accessed += uint64(n)
 }
@@ -148,31 +161,93 @@ func (d *DRAM) check(off Addr, n int) {
 // interface since construction or Reset (the energy model's DRAM term).
 func (d *DRAM) AccessedBytes() uint64 { return d.accessed }
 
-// Reset zeroes every byte that may ever have been written (the dirty
-// watermark is conservative: reads advance it too, and it survives
-// Reset so stale aliases cannot smuggle bytes past it) and clears the
-// access statistics.
+// Reset zeroes the pages written since the last Reset and clears the
+// access statistics. Allocated pages are kept, so a recycled board
+// reuses them instead of allocating again.
 func (d *DRAM) Reset() {
-	clear(d.data[:d.hi])
+	for i := range d.dirty {
+		if d.dirty[i] {
+			clear(d.pages[i][:])
+			d.dirty[i] = false
+		}
+	}
 	d.accessed = 0
 }
 
-// Bytes returns a slice aliasing n bytes of DRAM at off.
-func (d *DRAM) Bytes(off Addr, n int) []byte {
-	d.check(off, n)
-	return d.data[off : int(off)+n]
+// page returns page p for writing, allocating it on first use and
+// marking it dirty.
+func (d *DRAM) page(p int) *[dramPageSize]byte {
+	pg := d.pages[p]
+	if pg == nil {
+		pg = new([dramPageSize]byte)
+		d.pages[p] = pg
+	}
+	d.dirty[p] = true
+	return pg
 }
 
-// Load32 reads a 32-bit little-endian word.
+// Read copies len(dst) bytes of DRAM at off into dst.
+func (d *DRAM) Read(off Addr, dst []byte) {
+	d.check(off, len(dst))
+	d.read(int(off), dst)
+}
+
+// Write copies src into DRAM at off.
+func (d *DRAM) Write(off Addr, src []byte) {
+	d.check(off, len(src))
+	d.write(int(off), src)
+}
+
+// read and write are Read and Write after the bounds check, walking the
+// range page by page.
+func (d *DRAM) read(off int, dst []byte) {
+	for len(dst) > 0 {
+		in := off & dramPageMask
+		n := min(len(dst), dramPageSize-in)
+		if pg := d.pages[off>>dramPageShift]; pg != nil {
+			copy(dst[:n], pg[in:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+n
+	}
+}
+
+func (d *DRAM) write(off int, src []byte) {
+	for len(src) > 0 {
+		n := copy(d.page(off >> dramPageShift)[off&dramPageMask:], src)
+		src, off = src[n:], off+n
+	}
+}
+
+// Load32 reads a 32-bit little-endian word. A word inside one page -
+// every aligned word, so every DMA beat - takes the direct path.
 func (d *DRAM) Load32(off Addr) uint32 {
 	d.check(off, 4)
-	return binary.LittleEndian.Uint32(d.data[off:])
+	in := int(off) & dramPageMask
+	if in > dramPageSize-4 {
+		var b [4]byte
+		d.read(int(off), b[:])
+		return binary.LittleEndian.Uint32(b[:])
+	}
+	if pg := d.pages[off>>dramPageShift]; pg != nil {
+		return binary.LittleEndian.Uint32(pg[in:])
+	}
+	return 0
 }
 
-// Store32 writes a 32-bit little-endian word.
+// Store32 writes a 32-bit little-endian word, on the same single-page
+// fast path as Load32.
 func (d *DRAM) Store32(off Addr, v uint32) {
 	d.check(off, 4)
-	binary.LittleEndian.PutUint32(d.data[off:], v)
+	in := int(off) & dramPageMask
+	if in > dramPageSize-4 {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		d.write(int(off), b[:])
+		return
+	}
+	binary.LittleEndian.PutUint32(d.page(int(off >> dramPageShift))[in:], v)
 }
 
 // LoadF32 reads a single-precision float.
@@ -182,4 +257,4 @@ func (d *DRAM) LoadF32(off Addr) float32 { return math.Float32frombits(d.Load32(
 func (d *DRAM) StoreF32(off Addr, v float32) { d.Store32(off, math.Float32bits(v)) }
 
 // Size returns the window size in bytes.
-func (d *DRAM) Size() int { return len(d.data) }
+func (d *DRAM) Size() int { return DRAMSize }

@@ -390,10 +390,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("epiphany: bad job spec: %w", err))
+	if !decodeBody(w, r, &spec, "job spec") {
 		return
 	}
 	plan, cell, err := spec.resolve()
@@ -530,10 +527,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var plan sweep.Plan
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&plan); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("epiphany: bad sweep plan: %w", err))
+	if !decodeBody(w, r, &plan, "sweep plan") {
 		return
 	}
 	n, err := plan.Normalize()
@@ -824,6 +818,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func writeJob(w http.ResponseWriter, id string, e entry, cacheStatus string) {
 	w.Header().Set("X-Epiphany-Cache", cacheStatus)
 	writeJSON(w, http.StatusOK, JobResponse{ID: id, Cell: e.Cell, Power: e.Power, Result: e.Result})
+}
+
+// maxBodyBytes caps a submission's request body. A job spec or sweep
+// plan is a few hundred bytes; the cap keeps a hostile or broken client
+// from making the daemon buffer an unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a submission's JSON body into v, rejecting unknown
+// fields. On failure it writes the error - 413 for a body over
+// maxBodyBytes, 400 otherwise - and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("epiphany: bad %s: %w", what, err))
+	return false
 }
 
 // writeJSON writes v indented (the API is curl-first) with a trailing

@@ -300,6 +300,27 @@ func TestSweepBadRequests(t *testing.T) {
 	wantStatus(t, do(t, s, "POST", "/v1/sweeps", "{"), http.StatusBadRequest)
 }
 
+// TestOversizedBodies: a submission body past maxBodyBytes is refused
+// with 413 and the structured error body, before anything simulates; a
+// body just under the cap still decodes.
+func TestOversizedBodies(t *testing.T) {
+	s := newTestServer(t, Config{})
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, target := range []string{"/v1/jobs", "/v1/sweeps"} {
+		w := do(t, s, "POST", target, `{"workloads":["`+pad+`"]}`)
+		wantStatus(t, w, http.StatusRequestEntityTooLarge)
+		var body map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || !strings.Contains(body["error"], "too large") {
+			t.Errorf("%s: 413 body %q is not a structured too-large error (%v)", target, w.Body.String(), err)
+		}
+	}
+	under := pad[:maxBodyBytes-64] + `{"workload":"stencil-tuned","topo":"e16"}`
+	wantStatus(t, do(t, s, "POST", "/v1/jobs", under), http.StatusOK)
+	if st := s.Stats(); st.CacheMisses != 1 {
+		t.Errorf("%d cache misses, want 1: only the in-cap job may simulate", st.CacheMisses)
+	}
+}
+
 // TestPersistence: a second daemon pointed at the first one's cache
 // directory serves its corpus without re-simulating, byte-identically.
 func TestPersistence(t *testing.T) {

@@ -1,12 +1,15 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"epiphany/internal/names"
+	"epiphany/internal/system"
 	"epiphany/internal/tabular"
 	"epiphany/internal/workload"
 )
@@ -55,11 +58,15 @@ type Result struct {
 
 // Run normalizes and expands the plan, executes every cell on a pooled
 // workload.Runner with the given worker count (<= 0 means GOMAXPROCS),
-// and derives the scaling columns. Per-cell failures are recorded in
-// the cells, not returned; the returned error is reserved for plan
-// errors and context cancellation. The result is bit-deterministic:
-// the same plan produces identical cells (and therefore identical
-// rendered output) on every run, with any worker count.
+// and derives the scaling columns. Cells are submitted grouped by the
+// board they run on - stably sorted by resolved topology, in order of
+// first appearance - so each worker's pooled board serves a whole
+// topology column instead of being rebuilt for every workload; results
+// come back in expansion order. Per-cell failures are recorded in the
+// cells, not returned; the returned error is reserved for plan errors
+// and context cancellation. The result is bit-deterministic: the same
+// plan produces identical cells (and therefore identical rendered
+// output) on every run, with any worker count.
 func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
 	p, err := p.Normalize()
 	if err != nil {
@@ -68,23 +75,47 @@ func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
 	cells := p.Expand()
 	jobs := make([]workload.Job, len(cells))
 	cores := make([]int, len(cells))
+	boards := make([]system.Topology, len(cells))
 	for i, c := range cells {
-		jobs[i], cores[i], err = p.CellJob(c)
+		jobs[i], cores[i], boards[i], err = p.cellJob(c)
 		if err != nil {
 			return nil, err
 		}
 	}
+	order := groupByBoard(boards)
+	grouped := make([]workload.Job, len(order))
+	for k, i := range order {
+		grouped[k] = jobs[i]
+	}
 	r := &workload.Runner{Workers: workers}
-	br, err := r.RunBatch(ctx, jobs)
+	br, err := r.RunBatch(ctx, grouped)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Plan: p, Cells: make([]CellResult, len(cells))}
-	for i, c := range cells {
-		res.Cells[i] = NewCellResult(c, cores[i], br.Results[i])
+	for k, i := range order {
+		res.Cells[i] = NewCellResult(cells[i], cores[i], br.Results[k])
 	}
 	res.Derive()
 	return res, nil
+}
+
+// groupByBoard returns the indices of boards stably sorted into runs of
+// equal Topology, the runs in order of first appearance.
+func groupByBoard(boards []system.Topology) []int {
+	first := map[system.Topology]int{}
+	group := make([]int, len(boards))
+	order := make([]int, len(boards))
+	for i, b := range boards {
+		g, ok := first[b]
+		if !ok {
+			g = len(first)
+			first[b] = g
+		}
+		group[i], order[i] = g, i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(group[a], group[b]) })
+	return order
 }
 
 // CellJob translates one expanded cell of a normalized plan into the
@@ -94,23 +125,33 @@ func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
 // that schedule cells individually - the epiphany-serve daemon runs
 // each cell through its result cache - build byte-identical jobs.
 func (p Plan) CellJob(c Cell) (workload.Job, int, error) {
+	job, cores, _, err := p.cellJob(c)
+	return job, cores, err
+}
+
+// cellJob is CellJob plus the resolved board identity the Runner pools
+// the job's System by: the cell's topology with the plan's power model
+// and the cell's DVFS point applied.
+func (p Plan) cellJob(c Cell) (workload.Job, int, system.Topology, error) {
 	w, ok := workload.ByName(c.Workload)
 	if !ok {
-		return workload.Job{}, 0, names.Unknown("workload", c.Workload, registeredWorkloads())
+		return workload.Job{}, 0, system.Topology{}, names.Unknown("workload", c.Workload, registeredWorkloads())
 	}
 	st, err := c.Topo.Resolve()
 	if err != nil {
-		return workload.Job{}, 0, err
+		return workload.Job{}, 0, system.Topology{}, err
 	}
 	cores := workload.UsedCores(w, st.Rows(), st.Cols())
 	opts := []workload.Option{workload.WithTopology(st)}
+	board := st
 	if p.Power != "" {
 		opts = append(opts, workload.WithPowerModel(p.Power, c.DVFS))
+		board = st.WithPower(p.Power, c.DVFS)
 	}
 	if c.Seed != nil {
 		opts = append(opts, workload.WithSeed(*c.Seed))
 	}
-	return workload.Job{Workload: w, Options: opts}, cores, nil
+	return workload.Job{Workload: w, Options: opts}, cores, board, nil
 }
 
 // NewCellResult converts one executed job back into its cell's result

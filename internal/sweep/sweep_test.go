@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"epiphany/internal/sim"
@@ -346,3 +348,83 @@ type badErr struct{}
 func (*badErr) Error() string { return "sweep-test-bad: intentionally invalid" }
 
 func init() { workload.Register(badWorkload{}) }
+
+// boardProbe records the board each of its runs got, in run order.
+type boardProbe struct{ name string }
+
+type boardRun struct {
+	workload string
+	sys      *system.System
+}
+
+var (
+	boardRunsMu sync.Mutex
+	boardRuns   []boardRun
+)
+
+func (p boardProbe) Name() string    { return p.name }
+func (p boardProbe) Validate() error { return nil }
+func (p boardProbe) Run(_ context.Context, sys *system.System) (workload.Result, error) {
+	if err := sys.Acquire(); err != nil {
+		return nil, err
+	}
+	boardRunsMu.Lock()
+	boardRuns = append(boardRuns, boardRun{p.name, sys})
+	boardRunsMu.Unlock()
+	return probeResult{}, nil
+}
+
+type probeResult struct{}
+
+func (probeResult) Metrics() workload.Metrics { return workload.Metrics{} }
+
+func init() {
+	workload.Register(boardProbe{"sweep-test-board-a"})
+	workload.Register(boardProbe{"sweep-test-board-b"})
+}
+
+// TestRunGroupsCellsByBoard: Run submits the workload-major grid
+// grouped by board, so one worker builds each topology's board once and
+// reuses it across the column, and the cells still come back in
+// expansion order.
+func TestRunGroupsCellsByBoard(t *testing.T) {
+	plan := Plan{
+		Workloads: []string{"sweep-test-board-a", "sweep-test-board-b"},
+		// More cores than one worker's pool keeps, so an ungrouped
+		// workload-major order would rebuild every board.
+		Topos: []Topo{{Preset: "e16"}, {Spec: "grid=2x4/chip=8x8"}, {Spec: "grid=4x4/chip=8x8"}},
+	}
+	boardRuns = nil
+	res, err := Run(context.Background(), plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := plan.Normalize()
+	for i, c := range n.Expand() {
+		if got := res.Cells[i]; got.Workload != c.Workload || got.Topology != c.Topo.Key() || got.Err != "" {
+			t.Fatalf("cell %d = %s/%s (%q), want %s/%s in expansion order", i, got.Workload, got.Topology, got.Err, c.Workload, c.Topo.Key())
+		}
+	}
+	if len(boardRuns) != 6 {
+		t.Fatalf("%d probe runs, want 6", len(boardRuns))
+	}
+	boards := map[*system.System]bool{}
+	for i, r := range boardRuns {
+		boards[r.sys] = true
+		if i%2 == 1 && r.sys != boardRuns[i-1].sys {
+			t.Errorf("run %d (%s) did not reuse the previous run's board", i, r.workload)
+		}
+	}
+	if len(boards) != 3 {
+		t.Errorf("%d boards built for 3 topologies", len(boards))
+	}
+}
+
+func TestGroupByBoard(t *testing.T) {
+	e16, e64 := system.E16, system.E64
+	metered := e64.WithPower("epiphany-iv-28nm", "")
+	got := groupByBoard([]system.Topology{e16, e64, metered, e16, e64, metered, e64})
+	if want := []int{0, 3, 1, 4, 6, 2, 5}; !slices.Equal(got, want) {
+		t.Errorf("groupByBoard order = %v, want %v", got, want)
+	}
+}

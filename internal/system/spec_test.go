@@ -1,6 +1,7 @@
 package system
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -194,22 +195,41 @@ func FuzzParseTopoSpec(f *testing.F) {
 	})
 }
 
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average
+// bytes f allocates per call, measured on one P after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestNewTopologyAllocsPerCore is the construction allocation
 // regression: building a board must stay near-O(cores) in allocations
 // as the mesh grows, so the allocs-per-core at 16x16 (4 chips) and
 // 32x32 (16 chips, the 1024-core study board) may not exceed ~2x the
 // e64 single-chip baseline. A super-linear construction path (per-pair
-// routing tables, quadratic link maps) trips this immediately.
+// routing tables, quadratic link maps) trips this immediately. It also
+// holds construction to a byte budget: the shared DRAM window is paged
+// in on first write, so an e16 board costs under 1 MiB and a 1024-core
+// board at most 40 KiB per core - its 36 KiB scratchpad slot plus
+// bookkeeping, with no 32 MiB DRAM slab up front.
 func TestNewTopologyAllocsPerCore(t *testing.T) {
-	perCore := func(spec string) float64 {
+	build := func(spec string) (Topology, func()) {
 		topo, err := ParseTopologySpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			sinkSys = NewTopology(topo)
-		})
-		return allocs / float64(topo.NumCores())
+		return topo, func() { sinkSys = NewTopology(topo) }
+	}
+	perCore := func(spec string) float64 {
+		topo, f := build(spec)
+		return testing.AllocsPerRun(3, f) / float64(topo.NumCores())
 	}
 	base := perCore("e64") // 8x8, 64 cores
 	if base <= 0 {
@@ -219,5 +239,13 @@ func TestNewTopologyAllocsPerCore(t *testing.T) {
 		if pc := perCore(spec); pc > 2*base {
 			t.Errorf("%s allocates %.1f per core, more than 2x the e64 baseline %.1f", spec, pc, base)
 		}
+	}
+
+	if _, f := build("e16"); bytesPerRun(3, f) >= 1<<20 {
+		t.Errorf("e16 construction allocates %d bytes, want < 1 MiB", bytesPerRun(3, f))
+	}
+	topo, f := build("grid=4x4/chip=8x8")
+	if pc := bytesPerRun(3, f) / uint64(topo.NumCores()); pc > 40<<10 {
+		t.Errorf("grid=4x4/chip=8x8 construction allocates %d bytes per core, want <= 40 KiB", pc)
 	}
 }

@@ -91,13 +91,15 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 
 // Reset restores a used System to a pristine board - virtual time zero,
 // memories zeroed, every statistic and link occupancy cleared - so the
-// 35 MB of board state can be recycled across experiments instead of
-// reallocated. A recycled System is bit-deterministic with a fresh one:
+// board (a 36 KB scratchpad slot per core plus the DRAM pages its jobs
+// wrote) can be recycled across experiments instead of rebuilt. Only
+// the scratchpads and DRAM pages touched since the last Reset are
+// cleared. A recycled System is bit-deterministic with a fresh one:
 // the same workload produces byte-identical Metrics either way (the
 // conformance harness pins this). Reset refuses a board whose engine is
 // not quiescent (a run that deadlocked, was stopped mid-flight, or
 // panicked); such a System must be discarded. Runner.RunBatch uses
-// Reset to pool one board per worker.
+// Reset to pool boards per worker.
 func (s *System) Reset() error {
 	if err := s.eng.Reset(); err != nil {
 		return fmt.Errorf("epiphany: System not recyclable: %w", err)

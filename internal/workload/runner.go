@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"epiphany/internal/system"
@@ -55,13 +56,13 @@ func (b *BatchResult) Err() error {
 }
 
 // Runner executes batches of workloads concurrently. Every job gets its
-// own pristine System - built fresh, or recycled from the worker's
-// previous job through System.Reset when the topology matches (a System
-// is single-use between resets; sharing a live one across jobs would
-// blend virtual clocks and statistics). Either way each simulation
-// stays bit-deterministic: a batch produces byte-identical Metrics to
-// running the same jobs sequentially, in any interleaving, on fresh
-// boards.
+// own pristine System - built fresh, or recycled from one of the
+// worker's recent jobs through System.Reset when the topology matches
+// (a System is single-use between resets; sharing a live one across
+// jobs would blend virtual clocks and statistics). Either way each
+// simulation stays bit-deterministic: a batch produces byte-identical
+// Metrics to running the same jobs sequentially, in any interleaving,
+// on fresh boards.
 type Runner struct {
 	// Workers caps the number of concurrent simulations; <= 0 means
 	// GOMAXPROCS.
@@ -191,32 +192,53 @@ func (r *Runner) RunWorkloads(ctx context.Context, ws ...Workload) (*BatchResult
 	return r.RunBatch(ctx, jobs)
 }
 
-// sysPool recycles at most one System per worker goroutine. get hands
-// out the cached board when the requested topology matches; put takes a
-// board back only after System.Reset has certified it pristine, so a
-// pooled System is always indistinguishable from a fresh one. Pools are
-// per-worker and therefore unsynchronized. The match is whole-Topology
-// equality, so every experiment-axis identity pools separately: the C2C
-// timing overrides and the power model / DVFS point ride in the
-// Topology value.
+// poolCores bounds the boards one worker's pool keeps: together with
+// the board in use, at most this many cores (36 MiB of scratchpad), or
+// the one board in use if it alone is larger.
+const poolCores = 1024
+
+// sysPool recycles a worker goroutine's recently used Systems, most
+// recent first. get hands out a cached board when the requested
+// topology matches one; put takes a board back only after System.Reset
+// has certified it pristine, so a pooled System is always
+// indistinguishable from a fresh one. Keeping more than the last board
+// lets a worker that alternates between a few small topologies (a
+// daemon serving e16, e64 and cluster-2x2 jobs) stop rebuilding them;
+// poolCores caps what that may hold. Pools are per-worker and therefore
+// unsynchronized. The match is whole-Topology equality, so every
+// experiment-axis identity pools separately: the C2C timing overrides
+// and the power model / DVFS point ride in the Topology value.
 type sysPool struct {
+	boards []pooledBoard
+}
+
+type pooledBoard struct {
 	topo system.Topology
 	sys  *system.System
 }
 
 func (p *sysPool) get(topo system.Topology) *system.System {
-	if p.sys != nil && p.topo == topo {
-		sys := p.sys
-		p.sys = nil
-		return sys
+	for i, b := range p.boards {
+		if b.topo == topo {
+			p.boards = slices.Delete(p.boards, i, i+1)
+			return b.sys
+		}
 	}
-	p.sys = nil
+	// Evict the least recently used boards before building, so the
+	// pool and the new board never hold more than poolCores together.
+	cores := topo.NumCores()
+	for i, b := range p.boards {
+		if cores += b.topo.NumCores(); cores > poolCores {
+			p.boards = slices.Delete(p.boards, i, len(p.boards))
+			break
+		}
+	}
 	return system.NewTopology(topo)
 }
 
 func (p *sysPool) put(topo system.Topology, sys *system.System) {
 	if sys.Reset() == nil {
-		p.topo, p.sys = topo, sys
+		p.boards = slices.Insert(p.boards, 0, pooledBoard{topo, sys})
 	}
 }
 

@@ -403,16 +403,24 @@ func (s *sysRecorder) Run(ctx context.Context, sys *system.System) (Result, erro
 
 // TestRunnerPoolsSystemsPerWorker proves the recycling path is actually
 // taken: consecutive same-topology jobs on a one-worker batch run on
-// the same board (recycled through Reset), and a topology change forces
-// a rebuild.
+// the same board (recycled through Reset), a topology change builds a
+// new board, and switching back reuses the earlier one. A board too
+// large to share the pool's core budget evicts the others.
 func TestRunnerPoolsSystemsPerWorker(t *testing.T) {
 	var seen []*system.System
 	w := &sysRecorder{name: "sys-recorder", seen: &seen}
 	r := &Runner{Workers: 1}
+	big, err := system.ParseTopologySpec("grid=4x4/chip=8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobs := []Job{
 		{Workload: w},
 		{Workload: w},
 		{Workload: w, Options: []Option{WithTopology(system.E16)}},
+		{Workload: w},
+		{Workload: w, Options: []Option{WithTopology(system.E16)}},
+		{Workload: w, Options: []Option{WithTopology(big)}},
 		{Workload: w},
 	}
 	br, err := r.RunBatch(context.Background(), jobs)
@@ -422,8 +430,8 @@ func TestRunnerPoolsSystemsPerWorker(t *testing.T) {
 	if err := br.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 4 {
-		t.Fatalf("recorded %d systems, want 4", len(seen))
+	if len(seen) != len(jobs) {
+		t.Fatalf("recorded %d systems, want %d", len(seen), len(jobs))
 	}
 	if seen[0] != seen[1] {
 		t.Error("consecutive same-topology jobs did not recycle the worker's System")
@@ -431,8 +439,11 @@ func TestRunnerPoolsSystemsPerWorker(t *testing.T) {
 	if seen[1] == seen[2] {
 		t.Error("topology change reused the cached System")
 	}
-	if seen[2] == seen[3] {
-		t.Error("default-topology job reused the E16 board")
+	if seen[3] != seen[0] || seen[4] != seen[2] {
+		t.Error("switching back to an earlier topology did not reuse its board")
+	}
+	if seen[6] == seen[0] {
+		t.Error("the 1024-core board did not evict the E64 board from the pool")
 	}
 }
 
@@ -460,6 +471,41 @@ func TestRunnerRecycledSystemsBitDeterministic(t *testing.T) {
 	for i, jr := range br.Results {
 		w, _ := ByName(names[i])
 		fresh, err := Run(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jr.Result.Metrics(), fresh.Metrics(); got != want {
+			t.Errorf("job %d (%s) on a recycled board drifted:\n got  %+v\n want %+v", i, names[i], got, want)
+		}
+	}
+}
+
+// TestRunnerRecycledBoardGrowingFootprint pins the scratchpad Reset
+// skip: a pooled board whose first job touched one core and whose
+// second touches them all must still hand the second job a pristine
+// board, and so must every later job in the chain (stencil-naive's
+// timing shifts with any stencil-tuned state a Reset failed to clear). The power model is attached so the SRAM and
+// DRAM byte counters behind the energy terms are compared too.
+func TestRunnerRecycledBoardGrowingFootprint(t *testing.T) {
+	names := []string{"stencil-single", "stencil-tuned", "stencil-naive", "stencil-single", "stencil-tuned"}
+	opts := []Option{WithPowerModel("epiphany-iv-28nm", "")}
+	jobs := make([]Job, len(names))
+	for i, n := range names {
+		w, ok := ByName(n)
+		if !ok {
+			t.Fatalf("workload %q not registered", n)
+		}
+		jobs[i] = Job{Workload: w, Options: opts}
+	}
+	br, err := (&Runner{Workers: 1}).RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := br.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range br.Results {
+		fresh, err := Run(context.Background(), jobs[i].Workload, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
