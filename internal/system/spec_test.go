@@ -241,8 +241,9 @@ func TestNewTopologyAllocsPerCore(t *testing.T) {
 		}
 	}
 
-	if _, f := build("e16"); bytesPerRun(3, f) >= 1<<20 {
-		t.Errorf("e16 construction allocates %d bytes, want < 1 MiB", bytesPerRun(3, f))
+	_, e16 := build("e16")
+	if b := bytesPerRun(3, e16); b >= 1<<20 {
+		t.Errorf("e16 construction allocates %d bytes, want < 1 MiB", b)
 	}
 	topo, f := build("grid=4x4/chip=8x8")
 	if pc := bytesPerRun(3, f) / uint64(topo.NumCores()); pc > 40<<10 {
