@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -37,21 +36,56 @@ type event struct {
 
 func (ev *event) key() key { return key{t: ev.t, tag: ev.tag, sid: ev.sid, seq: ev.seq} }
 
+// eventHeap is a binary min-heap of events ordered by key. Keys are
+// unique - (sid, seq) never repeats - so every valid heap pops the same
+// sequence, whatever its internal layout.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return h[i].key().less(h[j].key())
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	k := ev.key()
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.less(q[parent].key()) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	k := last.key()
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].key().less(q[c].key()) {
+			c = r
+		}
+		if !q[c].key().less(k) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a deterministic discrete-event simulator, partitioned into
@@ -65,10 +99,10 @@ func (h *eventHeap) Pop() interface{} {
 // bit-identical for every worker count, because the executed schedule
 // is the same canonical order in all modes.
 //
-// Procs run as goroutines but each shard executes at most one of them
-// at a time, and always in key order, so simulations are fully
-// reproducible. The zero value is not usable; create engines with
-// NewEngine.
+// Procs run as coroutines that a shard resumes from inside an event
+// dispatch; each shard executes at most one of them at a time, and
+// always in key order, so simulations are fully reproducible. The zero
+// value is not usable; create engines with NewEngine.
 type Engine struct {
 	shards    []*Shard
 	workers   int
@@ -95,7 +129,7 @@ type Engine struct {
 // NewEngine returns an empty single-shard engine at virtual time zero.
 func NewEngine() *Engine {
 	e := &Engine{workers: 1}
-	e.shards = []*Shard{{eng: e, id: 0, yield: make(chan struct{})}}
+	e.shards = []*Shard{{eng: e, id: 0}}
 	return e
 }
 
@@ -113,7 +147,7 @@ func (e *Engine) AddShards(n int) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		e.shards = append(e.shards, &Shard{eng: e, id: int32(len(e.shards)), yield: make(chan struct{})})
+		e.shards = append(e.shards, &Shard{eng: e, id: int32(len(e.shards))})
 	}
 }
 
@@ -228,7 +262,7 @@ func (e *Engine) runSingle(limit Time) error {
 		if s.heap[0].t > limit {
 			return e.err
 		}
-		s.dispatch(heap.Pop(&s.heap).(*event))
+		s.dispatch(s.heap.pop())
 	}
 	return e.err
 }
@@ -256,7 +290,7 @@ func (e *Engine) runSequential(limit Time) error {
 		if best.t > limit {
 			return e.err
 		}
-		next.dispatch(heap.Pop(&next.heap).(*event))
+		next.dispatch(next.heap.pop())
 	}
 	return e.err
 }
@@ -431,13 +465,14 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Reset returns a drained engine to its initial state - virtual time
 // zero, no events, no procs, fresh sequence numbers on every shard -
-// so the structures built around it (and their goroutine-free event
-// state) can be recycled instead of reconstructed. The shard layout,
-// lookahead and worker count are board properties and survive. It
-// refuses engines that are not quiescent: pending events, procs parked
-// on conditions, or procs that never ran (their goroutines would leak
-// and their wake-ups would corrupt the next simulation). A successful
-// Run leaves the engine quiescent.
+// so the structures built around it can be recycled instead of
+// reconstructed. The shard layout, lookahead, worker count and each
+// shard's free list of recycled events are board properties and
+// survive. It refuses engines that are not quiescent: pending events,
+// procs parked on conditions, or procs that never ran (their suspended
+// coroutines would never finish and their wake-ups would corrupt the
+// next simulation). A successful Run leaves the engine quiescent, with
+// every proc's coroutine returned.
 func (e *Engine) Reset() error {
 	for _, s := range e.shards {
 		if err := s.quiesceErr(); err != nil {

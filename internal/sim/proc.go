@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -15,17 +16,21 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process. Its function runs on a dedicated goroutine,
-// but the owning shard ensures only one of its Procs executes at a time,
-// so Procs may freely touch their shard's simulation state without
-// synchronization. State owned by other shards must be reached through
-// Shard.Send.
+// Proc is a simulated process. Its function runs as a coroutine
+// (iter.Pull): the owning shard resumes it by calling next from inside
+// an event dispatch, and the proc hands control straight back by calling
+// yield, so a context switch never goes through the Go scheduler. At
+// most one of a shard's Procs executes at a time, inside that shard's
+// execution context, so Procs may freely touch their shard's simulation
+// state without synchronization. State owned by other shards must be
+// reached through Shard.Send.
 type Proc struct {
 	sh        *Shard
 	id        int
 	name      string
 	now       Time
-	resume    chan Time
+	next      func() (struct{}, bool) // resumes the coroutine; shard-side
+	yield     func(struct{}) bool     // suspends the coroutine; proc-side
 	fn        func(*Proc)
 	state     procState
 	blockedOn *Cond // the Cond being waited on (deadlock diagnostics)
@@ -53,11 +58,19 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the Proc's current virtual time.
 func (p *Proc) Now() Time { return p.now }
 
-// start launches the Proc's goroutine. Shard-side only.
+// start creates the Proc's coroutine and runs it up to its first yield
+// (or to completion). Shard-side only. The coroutine's stop function is
+// never called: stopping would make yield return inside proc code that
+// ignores its result and would run on outside any dispatch, so a proc
+// left parked when a run ends early (Stop, a failure) simply stays
+// suspended. The recover/done defer runs inside the coroutine, so a
+// panicking proc records the failure and finishes normally instead of
+// unwinding through the shard's next call.
 func (p *Proc) start() {
 	p.state = stateRunning
 	p.now = p.sh.now
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				p.sh.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
@@ -75,10 +88,10 @@ func (p *Proc) start() {
 					pp.done.Broadcast()
 				})
 			}
-			p.sh.yield <- struct{}{}
 		}()
 		p.fn(p)
-	}()
+	})
+	p.next()
 }
 
 // Wait advances the Proc's clock by d, letting other events at earlier
@@ -96,9 +109,8 @@ func (p *Proc) WaitUntil(t Time) {
 		t = p.now
 	}
 	p.state = stateWaiting
-	p.sh.schedule(&event{t: t, kind: evResume, proc: p})
-	p.sh.yield <- struct{}{}
-	p.now = <-p.resume
+	p.sh.schedule(p.sh.newEvent(t, evResume, p, nil))
+	p.yield(struct{}{})
 }
 
 // Block parks the Proc with no scheduled wake-up; something must later call
@@ -107,8 +119,7 @@ func (p *Proc) block(c *Cond) {
 	p.state = stateBlocked
 	p.blockedOn = c
 	p.sh.blocked++
-	p.sh.yield <- struct{}{}
-	p.now = <-p.resume
+	p.yield(struct{}{})
 }
 
 // unblock schedules the Proc to resume at time t. Shard/Cond-side only.
@@ -122,7 +133,7 @@ func (p *Proc) unblock(t Time) {
 	p.state = stateWaiting
 	p.blockedOn = nil
 	p.sh.blocked--
-	p.sh.schedule(&event{t: t, kind: evResume, proc: p})
+	p.sh.schedule(p.sh.newEvent(t, evResume, p, nil))
 }
 
 // Done returns a Cond broadcast when the Proc's function returns. Other

@@ -223,3 +223,42 @@ func TestEngineManyProcsDeterministicTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestEventHeapPopsInKeyOrder: the typed event heap always pops the
+// least pending key. Random keys - mixed times, the untagged and
+// booking-retry tags, core tags, several shard ids each with its own
+// sequence - are pushed with pops interleaved, and every pop must be
+// the head of the pending set sorted by key.less.
+func TestEventHeapPopsInKeyOrder(t *testing.T) {
+	tags := []int32{untagged, bookingRetryTag, 0, 1, 7, 63}
+	for seed := uint64(1); seed <= 50; seed++ {
+		r := NewRand(seed)
+		var h eventHeap
+		var pending []*event
+		seqs := make([]uint64, 4)
+		pop := func() {
+			sort.Slice(pending, func(i, j int) bool { return pending[i].key().less(pending[j].key()) })
+			got, want := h.pop(), pending[0]
+			pending = pending[1:]
+			if got != want {
+				t.Fatalf("seed %d: popped %+v, want %+v", seed, got.key(), want.key())
+			}
+		}
+		for i := 0; i < 400; i++ {
+			sid := r.Intn(len(seqs))
+			ev := &event{t: Time(r.Intn(16)), tag: tags[r.Intn(len(tags))], sid: int32(sid), seq: seqs[sid]}
+			seqs[sid]++
+			h.push(ev)
+			pending = append(pending, ev)
+			if r.Intn(3) == 0 {
+				pop()
+			}
+		}
+		for len(pending) > 0 {
+			pop()
+		}
+		if len(h) != 0 {
+			t.Fatalf("seed %d: heap holds %d events after draining", seed, len(h))
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 )
@@ -79,10 +78,17 @@ type Shard struct {
 	heap    eventHeap
 	now     Time
 	seq     uint64
-	yield   chan struct{} // a proc (or its demise) hands control back here
 	procs   []*Proc
 	blocked int // procs waiting on a Cond (not in the heap)
 	rng     *Rand
+
+	// free holds dispatched events of this shard's own making, zeroed
+	// for reuse by newEvent. Events posted to another shard are not
+	// returned to it (the receiver drops them to the GC): chip-to-sys
+	// traffic is one-sided, so a receiver-side list would grow without
+	// bound. Owned by this shard's execution context, so the parallel
+	// scheduler needs no lock for it.
+	free []*event
 
 	// running is true while an event of this shard is being dispatched;
 	// it backs the ownership assertions (a cheap bool, flipped once per
@@ -139,6 +145,7 @@ type Shard struct {
 	// execution context (or single-threaded engine code); read between
 	// runs.
 	nEvents      uint64
+	procSwitches uint64
 	heapPeak     int
 	crossPosts   uint64
 	taggedPosts  uint64
@@ -188,8 +195,23 @@ func (s *Shard) schedule(ev *event) {
 	ev.sid = s.id
 	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.heap, ev)
+	s.heap.push(ev)
 	s.notePeak()
+}
+
+// newEvent takes a zeroed event from the shard's free list (allocating
+// only when it is empty) and fills in the payload; the key is stamped
+// when the event is scheduled or posted.
+func (s *Shard) newEvent(t Time, kind eventKind, p *Proc, fn func()) *event {
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.t, ev.kind, ev.proc, ev.fn = t, kind, p, fn
+	return ev
 }
 
 // notePeak records the heap high-water mark; call after any push.
@@ -208,7 +230,7 @@ func (s *Shard) At(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.schedule(&event{t: t, kind: evCall, fn: fn})
+	s.schedule(s.newEvent(t, evCall, nil, fn))
 }
 
 // After schedules fn to run d after the shard's current virtual time.
@@ -222,7 +244,7 @@ func (s *Shard) After(d Time, fn func()) { s.At(s.now+d, fn) }
 // (plus values the sender froze before sending). t is clamped to the
 // sender's current time.
 func (s *Shard) Send(to *Shard, t Time, fn func()) {
-	s.post(to, t, untagged, &event{kind: evCall, fn: fn})
+	s.post(to, t, untagged, s.newEvent(0, evCall, nil, fn))
 }
 
 // SendTagged is Send for cross-shard requests that contend for a shared
@@ -232,7 +254,7 @@ func (s *Shard) Send(to *Shard, t Time, fn func()) {
 // order. Same determinism guarantees as Send - the tag is part of the
 // schedule-independent key.
 func (s *Shard) SendTagged(to *Shard, t Time, core int, fn func()) {
-	s.post(to, t, int32(core), &event{kind: evCall, fn: fn})
+	s.post(to, t, int32(core), s.newEvent(0, evCall, nil, fn))
 }
 
 // AtBooking is At for callback events that may book mesh link occupancy
@@ -246,13 +268,17 @@ func (s *Shard) AtBooking(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.schedule(&event{t: t, kind: evCall, fn: fn, mayBook: true})
+	ev := s.newEvent(t, evCall, nil, fn)
+	ev.mayBook = true
+	s.schedule(ev)
 }
 
 // SendBooking is Send for cross-shard continuations that may book mesh
 // link occupancy on the target shard. See AtBooking.
 func (s *Shard) SendBooking(to *Shard, t Time, fn func()) {
-	s.post(to, t, untagged, &event{kind: evCall, fn: fn, mayBook: true})
+	ev := s.newEvent(0, evCall, nil, fn)
+	ev.mayBook = true
+	s.post(to, t, untagged, ev)
 }
 
 func (s *Shard) post(to *Shard, t Time, tag int32, ev *event) {
@@ -286,7 +312,7 @@ func (s *Shard) post(to *Shard, t Time, tag int32, ev *event) {
 	}
 	// Sequential modes run shards on one goroutine, so writing the
 	// receiver's heap (and peak) directly is safe.
-	heap.Push(&to.heap, ev)
+	to.heap.push(ev)
 	to.notePeak()
 }
 
@@ -314,7 +340,7 @@ func (s *Shard) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := s.newProc(name, fn)
 	p.id = len(s.procs)
 	s.procs = append(s.procs, p)
-	s.schedule(&event{t: t, kind: evStart, proc: p})
+	s.schedule(s.newEvent(t, evStart, p, nil))
 	return p
 }
 
@@ -327,17 +353,16 @@ func (s *Shard) SpawnOn(to *Shard, t Time, name string, fn func(p *Proc)) *Proc 
 	}
 	p := to.newProc(name, fn)
 	p.id = -1 // assigned when the start event runs on to
-	s.post(to, t, untagged, &event{kind: evStart, proc: p})
+	s.post(to, t, untagged, s.newEvent(0, evStart, p, nil))
 	return p
 }
 
 func (s *Shard) newProc(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		sh:     s,
-		name:   name,
-		resume: make(chan Time),
-		fn:     fn,
-		state:  stateNew,
+		sh:    s,
+		name:  name,
+		fn:    fn,
+		state: stateNew,
 	}
 	// The done cond is created eagerly: it is owned by shard 0 (only
 	// host-side code joins kernels) and lazily creating it from two
@@ -397,12 +422,12 @@ func (s *Shard) AwaitBookingWindow() {
 		s.bookingParks++
 		s.stalled = true
 		p.state = stateWaiting
-		ev := &event{t: s.now, tag: bookingRetryTag, sid: s.id, seq: s.seq, kind: evResume, proc: p}
+		ev := s.newEvent(s.now, evResume, p, nil)
+		ev.tag, ev.sid, ev.seq = bookingRetryTag, s.id, s.seq
 		s.seq++
-		heap.Push(&s.heap, ev)
+		s.heap.push(ev)
 		s.notePeak()
-		s.yield <- struct{}{}
-		p.now = <-p.resume
+		p.yield(struct{}{})
 	}
 }
 
@@ -417,12 +442,15 @@ func (s *Shard) drainInbox() {
 			panic(fmt.Sprintf("sim: shard %d received event at t=%v from shard %d in its past (now %v); lookahead violated",
 				s.id, ev.t, ev.sid, s.now))
 		}
-		heap.Push(&s.heap, ev)
+		s.heap.push(ev)
 	}
 	s.notePeak()
 }
 
-// dispatch runs one event in this shard's context.
+// dispatch runs one event in this shard's context. A proc event resumes
+// the proc's coroutine, which runs until it yields (Wait, a Cond, a
+// booking park) or returns. The event then goes back to the free list
+// if this shard made it.
 func (s *Shard) dispatch(ev *event) {
 	s.nEvents++
 	s.now = ev.t
@@ -438,20 +466,24 @@ func (s *Shard) dispatch(ev *event) {
 			p.id = len(s.procs)
 			s.procs = append(s.procs, p)
 		}
+		s.procSwitches++
 		p.start()
-		<-s.yield
 	case evResume:
 		p := ev.proc
 		if p.state == stateDone {
 			break // stale wake-up after proc ended
 		}
+		s.procSwitches++
 		p.state = stateRunning
 		p.now = ev.t
-		p.resume <- ev.t
-		<-s.yield
+		p.next()
 	}
 	s.running = false
 	s.curProc = nil
+	if ev.sid == s.id {
+		*ev = event{}
+		s.free = append(s.free, ev)
+	}
 }
 
 // phaseA is the first half of a parallel round: drain cross-shard
@@ -494,7 +526,7 @@ func (s *Shard) phaseB(limit Time) {
 			s.heldByFloor++
 			return
 		}
-		s.dispatch(heap.Pop(&s.heap).(*event))
+		s.dispatch(s.heap.pop())
 		if s.posted || s.stalled {
 			return
 		}
@@ -527,7 +559,7 @@ func (s *Shard) reset() {
 	s.rng = nil
 	s.posted = false
 	s.stalled = false
-	s.nEvents, s.crossPosts, s.taggedPosts = 0, 0, 0
+	s.nEvents, s.procSwitches, s.crossPosts, s.taggedPosts = 0, 0, 0, 0
 	s.bookingParks, s.heldByBound, s.heldByFloor = 0, 0, 0
 	s.heapPeak = 0
 }

@@ -250,3 +250,87 @@ func TestInterShardOrderFuzz(t *testing.T) {
 		}
 	}
 }
+
+// crossWorkerTrace runs procs on both chip shards of a 3-shard engine,
+// each doing many Waits and now and then posting to sys, and returns
+// every shard's log of virtual times. With sliced set, the run is cut
+// into RunUntil slices, each driven by a fresh goroutine at alternating
+// worker counts: the procs start on worker goroutine 1 (workers=2 runs
+// shard 1 there) and are then resumed by other goroutines slice after
+// slice.
+func crossWorkerTrace(t *testing.T, sliced bool) [][]Time {
+	t.Helper()
+	const waits = 400
+	e := newSharded(2, 2, 0)
+	sys := e.Sys()
+	logs := make([][]Time, e.NumShards())
+	for i := 1; i < e.NumShards(); i++ {
+		sh := e.Shard(i)
+		sh.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
+			for k := 0; k < waits; k++ {
+				p.Wait(Time(1 + (k+i)%3))
+				logs[i] = append(logs[i], p.Now())
+				if k%50 == 0 {
+					sh.Send(sys, p.Now(), func() { logs[0] = append(logs[0], sys.Now()) })
+				}
+			}
+		})
+	}
+	if sliced {
+		for slice, limit := 0, Time(0); limit < 3*waits; slice, limit = slice+1, limit+37 {
+			e.SetWorkers(2 - slice%2)
+			done := make(chan error)
+			go func(limit Time) { done <- e.RunUntil(limit) }(limit)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.SetWorkers(1)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < e.NumShards(); i++ {
+		if len(logs[i]) != waits {
+			t.Fatalf("shard %d logged %d wake-ups, want %d", i, len(logs[i]), waits)
+		}
+	}
+	return logs
+}
+
+// TestProcResumedAcrossWorkers: a proc's coroutine is not tied to the
+// goroutine that started it. Procs started by one worker and resumed by
+// others (see crossWorkerTrace) follow exactly the schedule of one
+// uninterrupted sequential run. Run it with -race to also check that
+// each handover orders the coroutine's memory.
+func TestProcResumedAcrossWorkers(t *testing.T) {
+	base := crossWorkerTrace(t, false)
+	if got := crossWorkerTrace(t, true); !reflect.DeepEqual(got, base) {
+		t.Fatalf("sliced cross-worker run diverged from the sequential schedule:\n got %v\nwant %v", got, base)
+	}
+}
+
+// TestChipProcPanicFailsParallelRun: a chip-shard proc that panics
+// after several Waits under the parallel scheduler fails the run with
+// its panic text, and Reset refuses the half-run engine.
+func TestChipProcPanicFailsParallelRun(t *testing.T) {
+	e := newSharded(2, 2, 0)
+	e.Shard(1).Spawn("boom", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Wait(10)
+		}
+		panic("chip kaboom")
+	})
+	e.Shard(2).Spawn("steady", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Wait(10)
+		}
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `proc "boom" panicked at t=`) || !strings.Contains(err.Error(), "chip kaboom") {
+		t.Fatalf("Run = %v, want the chip proc's panic", err)
+	}
+	if err := e.Reset(); err == nil {
+		t.Fatal("Reset accepted an engine whose run failed mid-flight")
+	}
+}

@@ -22,6 +22,10 @@ type ShardStats struct {
 	Label string `json:"label"`
 	// Events is how many events this shard dispatched.
 	Events uint64 `json:"events"`
+	// ProcSwitches counts the proc coroutine resumptions among them:
+	// proc starts plus wake-ups of live procs (a wake-up that finds its
+	// proc already finished is an event but no switch).
+	ProcSwitches uint64 `json:"proc_switches"`
 	// HeapPeak is the high-water mark of the shard's event heap.
 	HeapPeak int `json:"heap_peak"`
 	// CrossPosts counts cross-shard events this shard sent (Send,
@@ -63,6 +67,9 @@ type EngineStats struct {
 	Events    uint64  `json:"events"`
 	SysEvents uint64  `json:"sys_events"`
 	SysShare  float64 `json:"sys_share"`
+	// ProcSwitches is the per-shard proc coroutine resumptions summed
+	// (see ShardStats).
+	ProcSwitches uint64 `json:"proc_switches"`
 	// CrossPosts/TaggedPosts/BookingParks/HeldByBound/HeldByFloor are
 	// the per-shard counters summed (see ShardStats).
 	CrossPosts   uint64 `json:"cross_posts"`
@@ -108,6 +115,7 @@ func (e *Engine) Stats() EngineStats {
 			Shard:        i,
 			Label:        shardLabel(s.id),
 			Events:       s.nEvents,
+			ProcSwitches: s.procSwitches,
 			HeapPeak:     s.heapPeak,
 			CrossPosts:   s.crossPosts,
 			TaggedPosts:  s.taggedPosts,
@@ -117,6 +125,7 @@ func (e *Engine) Stats() EngineStats {
 		}
 		st.PerShard[i] = ss
 		st.Events += ss.Events
+		st.ProcSwitches += ss.ProcSwitches
 		st.CrossPosts += ss.CrossPosts
 		st.TaggedPosts += ss.TaggedPosts
 		st.BookingParks += ss.BookingParks
@@ -142,19 +151,19 @@ func (e *Engine) SetRoundHook(fn func(round uint64, start, end Time)) { e.roundH
 // report.
 func (st EngineStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d shard(s) x %d worker(s), %d events (sys share %.1f%%), lookahead %v\n",
-		st.Shards, st.Workers, st.Events, 100*st.SysShare, st.Lookahead)
+	fmt.Fprintf(&b, "engine: %d shard(s) x %d worker(s), %d events (sys share %.1f%%), %d proc switches, lookahead %v\n",
+		st.Shards, st.Workers, st.Events, 100*st.SysShare, st.ProcSwitches, st.Lookahead)
 	if st.BarrierRounds > 0 {
 		fmt.Fprintf(&b, "  parallel: %d barrier rounds, phaseA %.3fms, phaseB %.3fms wall\n",
 			st.BarrierRounds, float64(st.PhaseAWallNS)/1e6, float64(st.PhaseBWallNS)/1e6)
 	}
 	fmt.Fprintf(&b, "  cross-shard posts %d (tagged %d), booking parks %d, held by bound %d / floor %d\n",
 		st.CrossPosts, st.TaggedPosts, st.BookingParks, st.HeldByBound, st.HeldByFloor)
-	fmt.Fprintf(&b, "  %-6s %10s %10s %12s %8s %8s %8s %8s\n",
-		"shard", "events", "heap-peak", "cross-posts", "tagged", "parks", "bound", "floor")
+	fmt.Fprintf(&b, "  %-6s %10s %10s %10s %12s %8s %8s %8s %8s\n",
+		"shard", "events", "switches", "heap-peak", "cross-posts", "tagged", "parks", "bound", "floor")
 	for _, ss := range st.PerShard {
-		fmt.Fprintf(&b, "  %-6s %10d %10d %12d %8d %8d %8d %8d\n",
-			ss.Label, ss.Events, ss.HeapPeak, ss.CrossPosts, ss.TaggedPosts,
+		fmt.Fprintf(&b, "  %-6s %10d %10d %10d %12d %8d %8d %8d %8d\n",
+			ss.Label, ss.Events, ss.ProcSwitches, ss.HeapPeak, ss.CrossPosts, ss.TaggedPosts,
 			ss.BookingParks, ss.HeldByBound, ss.HeldByFloor)
 	}
 	return b.String()

@@ -34,6 +34,39 @@ func TestStatsSequentialCounts(t *testing.T) {
 	}
 }
 
+// TestStatsProcSwitches: every proc start and every wake-up of a live
+// proc counts one switch; callback events count none.
+func TestStatsProcSwitches(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e, "go")
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Wait(10)
+		}
+		p.WaitCond(c)
+	})
+	e.At(100, c.Broadcast)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	// start + 3 Wait wake-ups + the Cond wake-up; the callback is the
+	// sixth event.
+	if st.ProcSwitches != 5 || st.PerShard[0].ProcSwitches != 5 || st.Events != 6 {
+		t.Errorf("proc switches %d (shard 0: %d) over %d events, want 5 over 6",
+			st.ProcSwitches, st.PerShard[0].ProcSwitches, st.Events)
+	}
+	if s := st.String(); !strings.Contains(s, "5 proc switches") {
+		t.Errorf("report missing the switch count:\n%s", s)
+	}
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.ProcSwitches != 0 {
+		t.Errorf("reset kept %d proc switches", st.ProcSwitches)
+	}
+}
+
 // TestStatsShardedCounters: cross-shard posts (plain and tagged) land
 // in the sender's counters, events land in the executing shard's, and
 // the parallel scheduler's round count is visible.

@@ -1,9 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine executes simulated processes (Procs) one at a time in strict
-// virtual-time order: goroutines are used as coroutines, with exactly one
-// runnable at any instant, so shared simulation state needs no locking and
-// every run of the same program produces identical results.
+// virtual-time order. Each Proc is a coroutine (iter.Pull): the shard
+// resumes it from inside an event dispatch and the Proc yields straight
+// back when it waits, so a context switch is a direct coroutine handoff
+// that never passes through the Go scheduler. Exactly one Proc of a
+// shard runs at any instant, so shared simulation state needs no locking
+// and every run of the same program produces identical results.
 //
 // Time is measured in integer units of 1/3 nanosecond. This unit was chosen
 // so that all of the calibrated Epiphany quantities are exact integers:

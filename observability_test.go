@@ -192,6 +192,7 @@ func TestEngineStatsGolden(t *testing.T) {
 	}{
 		{"Events", st.Events, 15445},
 		{"SysEvents", st.SysEvents, 1580},
+		{"ProcSwitches", st.ProcSwitches, 9557},
 		{"CrossPosts", st.CrossPosts, 2272},
 		{"TaggedPosts", st.TaggedPosts, 896},
 		{"BookingParks", st.BookingParks, 479},
@@ -221,6 +222,9 @@ func TestEngineStatsGolden(t *testing.T) {
 	// Worker count beyond 1 is pure execution layout: the same counters
 	// at workers=2, wall times aside.
 	st2 := run(2)
+	if st2.ProcSwitches != 9557 {
+		t.Errorf("workers=2 ProcSwitches = %d, want 9557", st2.ProcSwitches)
+	}
 	norm := func(s epiphany.EngineStats) epiphany.EngineStats {
 		s.Workers, s.PhaseAWallNS, s.PhaseBWallNS = 0, 0, 0
 		return s
